@@ -8,18 +8,15 @@
 //      join rows.  Reported: commits/s, delta rows/s, arrangement probes/s
 //      (from Engine::Stats).
 //   2. commit latency vs relation size — the same single-key update
-//      against databases of growing size; incrementality says the curve
-//      should stay near-flat.
+//      against databases of growing size, p50/p99 per commit after a
+//      warm-up; incrementality says the curve should stay near-flat.
 //   3. peak RSS with/without interning — a string-keyed join database
 //      built in a fresh child process per mode (clean RSS), showing what
 //      hash-consing saves when the same keys appear across relations and
 //      derived rows.
 //
-// The "before" numbers are the pre-overhaul engine (seed of this PR)
-// measured on the same machine with the identical workload at --scale=1;
-// they are recorded here so BENCH_dlog_hotpath.json always carries the
-// before/after pair the overhaul is judged by (target: >= 2x join-heavy
-// commit throughput, lower peak RSS).
+// The bench records no reference numbers: to compare two engines, run it
+// for both on the same machine, in the same session, at the same --scale.
 #include <cstring>
 #include <random>
 #include <string>
@@ -45,14 +42,6 @@ input relation S(k: string, b: bigint)
 output relation J(a: bigint, b: bigint)
 J(a, b) :- R(k, a), S(k, b).
 )";
-
-// Pre-overhaul reference (seed engine, same machine, same workloads,
-// --scale=1, Release -O2).  Meaningful to compare against only at the
-// default scale.
-constexpr double kBeforeJoinCommitsPerSec = 187;
-constexpr double kBeforeJoinDeltaRowsPerSec = 376255;
-constexpr double kBeforeLatencyUs[] = {19.0, 32.7, 70.3, 217.2};
-constexpr int64_t kBeforeRssBytes = 507990016;  // string-join build, no pool
 
 std::string KeyName(int k) { return StrFormat("key-%d", k); }
 
@@ -144,20 +133,13 @@ int Run(const char* self, const BenchArgs& args) {
     delta_rows_per_sec = static_cast<double>(delta_rows) / seconds;
     probes_per_sec = static_cast<double>(probes) / seconds;
 
-    Table table({"metric", "before (seed)", "after (this engine)"});
-    table.AddRow({"commits/s", StrFormat("%.0f", kBeforeJoinCommitsPerSec),
-                  StrFormat("%.0f", commits_per_sec)});
-    table.AddRow({"delta rows/s",
-                  StrFormat("%.0f", kBeforeJoinDeltaRowsPerSec),
-                  StrFormat("%.0f", delta_rows_per_sec)});
-    table.AddRow({"probes/s", "-", StrFormat("%.0f", probes_per_sec)});
-    table.AddRow({"speedup", "1.0x",
-                  StrFormat("%.2fx",
-                            commits_per_sec / kBeforeJoinCommitsPerSec)});
+    Table table({"metric", "value"});
+    table.AddRow({"commits/s", StrFormat("%.0f", commits_per_sec)});
+    table.AddRow({"delta rows/s", StrFormat("%.0f", delta_rows_per_sec)});
+    table.AddRow({"probes/s", StrFormat("%.0f", probes_per_sec)});
     table.Print();
     std::printf(
-        "probe detail: %llu probes, %llu hits, %llu scratch-key probes "
-        "(each was a heap-allocated key Row before)\n\n",
+        "probe detail: %llu probes, %llu hits, %llu scratch-key probes\n\n",
         static_cast<unsigned long long>(probes),
         static_cast<unsigned long long>(after_stats.probe_hits -
                                         before_stats.probe_hits),
@@ -167,11 +149,6 @@ int Run(const char* self, const BenchArgs& args) {
     emitter.Metric("join_commits_per_s", commits_per_sec);
     emitter.Metric("join_delta_rows_per_s", delta_rows_per_sec);
     emitter.Metric("join_probes_per_s", probes_per_sec);
-    emitter.Metric("join_commits_per_s_before", kBeforeJoinCommitsPerSec);
-    emitter.Metric("join_delta_rows_per_s_before",
-                   kBeforeJoinDeltaRowsPerSec);
-    emitter.Metric("join_commit_speedup_vs_seed",
-                   commits_per_sec / kBeforeJoinCommitsPerSec);
     Json::Object intern;
     intern["strings"] =
         static_cast<int64_t>(after_stats.intern.strings);
@@ -184,13 +161,15 @@ int Run(const char* self, const BenchArgs& args) {
   }
 
   // --- workload 2: commit latency vs relation size ---
+  // Each commit is timed on its own after an untimed warm-up (the first
+  // commits after the load still grow the transaction's scratch tables).
   const int kSizes[] = {1024, 4096, 16384, 65536};
   Json::Array latency_curve;
   {
-    Table table({"relation size", "before us/commit", "after us/commit"});
+    Table table({"relation size", "p50 us/commit", "p99 us/commit"});
+    const int kWarmupCommits = args.Scaled(100);
     const int kLatencyCommits = args.Scaled(500);
-    for (size_t s = 0; s < 4; ++s) {
-      int size = kSizes[s];
+    for (int size : kSizes) {
       auto program = dlog::Program::Parse(kJoinProgram);
       Engine engine(*program);
       int keys = size / kFanout;
@@ -206,8 +185,9 @@ int Run(const char* self, const BenchArgs& args) {
       std::mt19937_64 rng(args.seed);
       std::vector<int64_t> current(static_cast<size_t>(keys));
       for (int k = 0; k < keys; ++k) current[static_cast<size_t>(k)] = k;
-      Stopwatch watch;
-      for (int c = 0; c < kLatencyCommits; ++c) {
+      std::vector<double> us;
+      us.reserve(static_cast<size_t>(kLatencyCommits));
+      for (int c = 0; c < kWarmupCommits + kLatencyCommits; ++c) {
         int k = static_cast<int>(rng() % static_cast<uint64_t>(keys));
         std::string key = KeyName(k);
         (void)engine.Delete(
@@ -215,19 +195,24 @@ int Run(const char* self, const BenchArgs& args) {
         current[k] = k + 1000000LL * (c + 1);
         (void)engine.Insert(
             "R", Row{Value::String(key), Value::Int(current[k])});
+        Stopwatch watch;
         if (!engine.Commit().ok()) return 1;
+        if (c >= kWarmupCommits) us.push_back(watch.ElapsedSeconds() * 1e6);
       }
-      double us = watch.ElapsedSeconds() / kLatencyCommits * 1e6;
-      table.AddRow({std::to_string(size), StrFormat("%.1f",
-                    kBeforeLatencyUs[s]), StrFormat("%.1f", us)});
+      double p50 = bench::Percentile(us, 0.50);
+      double p99 = bench::Percentile(us, 0.99);
+      table.AddRow({std::to_string(size), StrFormat("%.1f", p50),
+                    StrFormat("%.1f", p99)});
       Json::Object point;
       point["relation_size"] = size;
-      point["us_per_commit"] = us;
-      point["us_per_commit_before"] = kBeforeLatencyUs[s];
+      point["us_p50"] = p50;
+      point["us_p99"] = p99;
       latency_curve.push_back(Json(std::move(point)));
     }
     table.Print();
     std::printf("\n");
+    emitter.Param("latency_warmup_commits", kWarmupCommits);
+    emitter.Param("latency_commits", kLatencyCommits);
   }
   emitter.Metric("commit_latency_vs_size", Json(std::move(latency_curve)));
 
@@ -242,15 +227,11 @@ int Run(const char* self, const BenchArgs& args) {
   }
   {
     Table table({"variant", "peak RSS", "derived rows"});
-    table.AddRow({"before (seed engine)",
-                  StrFormat("%.1f MiB",
-                            static_cast<double>(kBeforeRssBytes) / 1048576.0),
-                  "-"});
-    table.AddRow({"after, interning off",
+    table.AddRow({"interning off",
                   StrFormat("%.1f MiB",
                             static_cast<double>(rss_plain) / 1048576.0),
                   std::to_string(rows_plain)});
-    table.AddRow({"after, interning on",
+    table.AddRow({"interning on",
                   StrFormat("%.1f MiB",
                             static_cast<double>(rss_interned) / 1048576.0),
                   std::to_string(rows_interned)});
@@ -258,25 +239,14 @@ int Run(const char* self, const BenchArgs& args) {
   }
   emitter.Param("rss_keys", args.Scaled(4096));
   emitter.Param("rss_fanout", 64);
-  emitter.Metric("rss_bytes_before", kBeforeRssBytes);
   emitter.Metric("rss_bytes_interning_off", rss_plain);
   emitter.Metric("rss_bytes_interning_on", rss_interned);
-  emitter.Metric("rss_ratio_vs_seed",
-                 static_cast<double>(rss_interned) /
-                     static_cast<double>(kBeforeRssBytes));
 
   emitter.Param("join_keys", kKeys);
   emitter.Param("join_fanout", kFanout);
   emitter.Param("join_batch", kBatch);
   emitter.Param("join_commits", kCommits);
   emitter.Write();
-
-  std::printf(
-      "\ntarget: >= 2x join-heavy commit throughput and lower peak RSS than "
-      "the seed engine.\nmeasured: %.2fx throughput, %.2fx RSS.\n",
-      commits_per_sec / kBeforeJoinCommitsPerSec,
-      static_cast<double>(rss_interned) /
-          static_cast<double>(kBeforeRssBytes));
   return 0;
 }
 

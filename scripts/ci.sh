@@ -43,10 +43,10 @@ run_suite build-ci-asan \
 # to the suites that actually exercise threads (controller dispatch pool,
 # OVSDB TCP service thread, HTTP gateway event loop + workers, HA restart
 # and hot-standby failover, chaos fault storms — including the seeded
-# failover soak in test_chaos — snvs integration end to end, and the dlog
-# differential suite whose parallel-bootstrap case forces a 4-thread
-# semi-naive fan-out regardless of core count) to keep the wall clock
-# sane.
+# failover soak in test_chaos — snvs integration end to end — plus the
+# dlog differential suite: single-threaded since the engine dropped its
+# parallel fan-out, and kept so that any thread the engine grows again is
+# raced from the first commit) to keep the wall clock sane.
 echo "=== configure build-ci-tsan ==="
 cmake -B build-ci-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -127,7 +127,7 @@ test -s build-ci-bench/bench-out/BENCH_gateway.json || {
 
 # Cold-start bench is a perf gate too, on machine-independent ratios: the
 # dlog/imperative CPU ratio must not blow past the checked-in ceiling
-# (bootstrap fast path regressed) and checkpoint restore must stay
+# (the from-empty engine commit regressed) and checkpoint restore must stay
 # decisively faster than recomputation.  Full scale — the ratios are
 # noisy below ~40 LBs.
 echo "--- bench_lb_coldstart --scale=1 (regression gate) ---"
@@ -159,5 +159,20 @@ build-ci-bench/bench/bench_overload --scale=0.3 \
   --out=build-ci-bench/bench-out >/dev/null
 test -s build-ci-bench/bench-out/BENCH_overload.json || {
   echo "bench_overload produced no BENCH_overload.json" >&2; exit 1; }
+
+# Full-stack benchmark as a correctness smoke: each workload replays
+# recovery, a from-empty engine commit and the bulk switch install, then
+# cross-checks every switch table against a stack rebuilt from the
+# database.  The timings of a 2 s run mean nothing; the verdict does.
+echo "--- stackbench --workload all --seconds 2 (correctness smoke) ---"
+python3 stackbench/run.py --workload all --seconds 2 \
+  > build-ci-bench/stackbench.out
+tail -n 1 build-ci-bench/stackbench.out | python3 -c '
+import json, sys
+verdict = json.loads(sys.stdin.read())
+if verdict.get("correct") is not True or verdict.get("failed") != 0:
+    sys.exit("stackbench: correct=%s failed=%s" %
+             (verdict.get("correct"), verdict.get("failed")))
+' || { cat build-ci-bench/stackbench.out >&2; exit 1; }
 
 echo "CI: all suites passed"

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 #include <functional>
-#include <thread>
 
 #include "common/hash.h"
 #include "common/log.h"
@@ -74,32 +73,38 @@ class Engine::Txn {
     trail_buffers_.resize(max_steps);
   }
 
-  Result<TxnDelta> Run(bool is_init) {
-    is_init_ = is_init;
+  /// Runs the queued inputs as one transaction.  A transaction that starts
+  /// from a completely empty engine (the constructor's fact transaction, a
+  /// cold start) runs in from-empty mode: OLD state is empty, so each rule
+  /// is one full evaluation instead of its delta variants, folds adopt the
+  /// derived contents wholesale and bulk-build arrangements, and nothing is
+  /// logged for undo — rollback is a wipe back to empty.
+  Result<TxnDelta> Run() {
     overlay_ = nullptr;
-    if (e_.options_.enable_bootstrap && EngineIsEmpty()) {
-      return RunBootstrap();
-    }
+    from_empty_ = EngineIsEmpty();
     Status status = Execute();
     if (!status.ok()) {
       // Failed Commit() contract: undo every partial effect so the engine
       // is byte-identical to its pre-transaction state.
-      Rollback();
-      Cleanup();
-      FlushCounters();
+      overlay_ = nullptr;
+      if (from_empty_) {
+        WipeToEmpty();
+      } else {
+        Rollback();
+        Cleanup();
+      }
       return status;
     }
     TxnDelta out = CollectOutputs();
     ResetLogs();
     Cleanup();
-    FlushCounters();
     ++e_.transactions_;
     return out;
   }
 
   /// Linear pass over a relation's contents inserting every row into every
   /// arrangement index (bulk build: reserve once, no flip/deleted
-  /// recording).  Used by the bootstrap fold and checkpoint restore.
+  /// recording).  Used by from-empty folds and checkpoint restore.
   void BuildArrangements(int rel) {
     if (!e_.options_.use_arrangements) return;
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
@@ -112,7 +117,7 @@ class Engine::Txn {
         RowView key = ProjectInto(row, positions, arr_key_buf_);
         auto it = arr.index.find(key);
         if (it == arr.index.end()) {
-          ++c_.key_rows_materialized;
+          ++e_.key_rows_materialized_;
           it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
         }
         it->second.insert(row);
@@ -120,22 +125,9 @@ class Engine::Txn {
     }
   }
 
-  /// Merges transaction-local hot-path counters into the engine totals.
-  /// Called single-threaded: at the end of Run() for the main transaction,
-  /// and after the pool barrier for bootstrap workers.
-  void FlushCounters() {
-    e_.rule_firings_ += c_.rule_firings;
-    e_.probes_ += c_.probes;
-    e_.probe_hits_ += c_.probe_hits;
-    e_.scans_ += c_.scans;
-    e_.key_rows_materialized_ += c_.key_rows_materialized;
-    e_.key_allocs_saved_ += c_.key_allocs_saved;
-    c_ = Counters{};
-  }
-
  private:
   Status Execute() {
-    NERPA_RETURN_IF_ERROR(ApplyInputs());
+    ApplyInputs();
     for (const Stratum& stratum : program_.strata()) {
       if (stratum.recursive) {
         NERPA_RETURN_IF_ERROR(ProcessRecursive(stratum));
@@ -222,7 +214,7 @@ class Engine::Txn {
   void BumpFlip(Arrangement& arr, RowView key, int direction) {
     auto it = arr.flips.find(key);
     if (it == arr.flips.end()) {
-      ++c_.key_rows_materialized;
+      ++e_.key_rows_materialized_;
       arr.flips.emplace(MaterializeKey(key), direction);
       return;
     }
@@ -250,7 +242,7 @@ class Engine::Txn {
         if (direction > 0) {
           auto it = arr.index.find(key);
           if (it == arr.index.end()) {
-            ++c_.key_rows_materialized;
+            ++e_.key_rows_materialized_;
             it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
             BumpFlip(arr, key, +1);
           }
@@ -261,7 +253,7 @@ class Engine::Txn {
           it->second.erase(*row);
           auto del = arr.deleted.find(key);
           if (del == arr.deleted.end()) {
-            ++c_.key_rows_materialized;
+            ++e_.key_rows_materialized_;
             del = arr.deleted.emplace(MaterializeKey(key),
                                       std::vector<Row>{}).first;
           }
@@ -276,11 +268,19 @@ class Engine::Txn {
   }
 
   /// Applies a set-level delta (rows with +-1) to `rel`: counts are forced
-  /// to 1/absent.  Used for inputs and recursive-stratum relations.
-  void FoldSetDelta(int rel, const std::vector<std::pair<Row, int>>& delta) {
+  /// to 1/absent.  Used for inputs and recursive-stratum relations.  From
+  /// empty, every change is an insert and the one fold per relation loads
+  /// it whole.
+  void FoldSetDelta(int rel, const SetDelta& delta) {
     if (delta.empty()) return;
     MarkDirty(rel);
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
+    if (from_empty_) {
+      state.counts.reserve(delta.size());
+      for (const auto& [row, direction] : delta) state.counts.emplace(row, 1);
+      BuildArrangements(rel);
+      return;
+    }
     ArrDelta arr_delta;
     arr_delta.reserve(delta.size());
     for (const auto& [row, direction] : delta) {
@@ -302,11 +302,18 @@ class Engine::Txn {
   }
 
   /// Applies a derivation-count delta to `rel`, deriving the set-level
-  /// transitions.  Used for non-recursive derived relations.
-  Status FoldCountDelta(int rel, const ZSet& count_delta) {
+  /// transitions.  Used for non-recursive derived relations.  From empty,
+  /// the delta is the relation's whole contents: it is adopted by swap
+  /// (leaving `count_delta` empty) and indexed in one bulk pass.
+  Status FoldCountDelta(int rel, ZSet& count_delta) {
     if (count_delta.empty()) return Status::Ok();
     MarkDirty(rel);
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
+    if (from_empty_) {
+      state.counts.swap(count_delta);
+      BuildArrangements(rel);
+      return Status::Ok();
+    }
     if (!rolling_back_) fold_log_.reserve(fold_log_.size() + count_delta.size());
     ArrDelta transitions;  // rows borrowed from count_delta (stable)
     for (const auto& [row, weight] : count_delta) {
@@ -378,7 +385,7 @@ class Engine::Txn {
         mode == Mode::kOld && !state.set_delta.empty() ? &state.set_delta
                                                        : nullptr;
     if (arrangement >= 0 && !e_.options_.use_arrangements) {
-      ++c_.scans;
+      ++e_.scans_;
       // Ablation mode: scan and filter by the arrangement's key positions.
       const auto& positions =
           program_.arrangements()[static_cast<size_t>(rel)]
@@ -413,12 +420,12 @@ class Engine::Txn {
       return true;
     }
     if (arrangement >= 0) {
-      ++c_.probes;
-      ++c_.key_allocs_saved;
+      ++e_.probes_;
+      ++e_.key_allocs_saved_;
       Arrangement& arr = state.arrangements[static_cast<size_t>(arrangement)];
       auto bucket = arr.index.find(key);
       if (bucket != arr.index.end()) {
-        ++c_.probe_hits;
+        ++e_.probe_hits_;
         for (const Row& row : bucket->second) {
           if (ov != nullptr && OverlayHides(*ov, row)) continue;
           if (txn_inserted != nullptr) {
@@ -449,7 +456,7 @@ class Engine::Txn {
       return true;
     }
     // Full scan.
-    ++c_.scans;
+    ++e_.scans_;
     for (const auto& [row, count] : state.counts) {
       if (ov != nullptr && OverlayHides(*ov, row)) continue;
       if (txn_inserted != nullptr) {
@@ -582,7 +589,7 @@ class Engine::Txn {
                    Sink&& sink) {
     const CompiledRule& rule = *exec.rule;
     if (step_index >= rule.steps.size()) {
-      ++c_.rule_firings;
+      ++e_.rule_firings_;
       return sink(frame_);
     }
     if (static_cast<int>(step_index) == exec.skip_step) {
@@ -659,7 +666,7 @@ class Engine::Txn {
       }
       case BodyElem::Kind::kAggregate: {
         if (exec.stop_at_aggregate) {
-          ++c_.rule_firings;
+          ++e_.rule_firings_;
           return sink(frame_);
         }
         return Internal("aggregate reached in non-aggregate execution");
@@ -711,11 +718,30 @@ class Engine::Txn {
 
   // --- Delta-plan driving ---
 
-  bool RuleHasPositiveLiteral(const CompiledRule& rule) const {
-    for (const StepPlan& step : rule.steps) {
-      if (step.kind == BodyElem::Kind::kLiteral && !step.negated) return true;
+  /// Feeds every change in `rule`'s derivations into `sink(weight)`.  From
+  /// empty, that is one full evaluation in NEW mode against the folded
+  /// lower strata (every derivation is new, weight +1); otherwise one delta
+  /// variant per body literal.
+  template <typename Sink>
+  Status EvalRule(const CompiledRule& rule, bool stop_at_aggregate,
+                  Sink&& sink) {
+    if (from_empty_) {
+      Exec exec;
+      exec.rule = &rule;
+      exec.lookups = &rule.full_plan.lookups;
+      exec.uniform_mode = Mode::kNew;
+      exec.stop_at_aggregate = stop_at_aggregate;
+      return WithFrame(rule, [&]() -> Status {
+        return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) {
+          return sink(int64_t{1});
+        });
+      });
     }
-    return false;
+    for (const DeltaPlan& plan : rule.delta_plans) {
+      NERPA_RETURN_IF_ERROR(
+          ProcessDeltaPlan(rule, plan, stop_at_aggregate, sink));
+    }
+    return Status::Ok();
   }
 
   /// Runs one delta variant of `rule` for every pinned change, feeding
@@ -813,25 +839,6 @@ class Engine::Txn {
     });
   }
 
-  /// Full evaluation of `rule` in original order (init-time rules without
-  /// positive literals; weight +1), mode = OLD per the implicit-TRUE-literal
-  /// delta expansion.
-  template <typename Sink>
-  Status ProcessInitFull(const CompiledRule& rule, bool stop_at_aggregate,
-                         Sink&& sink) {
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &rule.full_plan.lookups;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kOld;
-    exec.stop_at_aggregate = stop_at_aggregate;
-    return WithFrame(rule, [&]() -> Status {
-      return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) {
-        return sink(int64_t{1});
-      });
-    });
-  }
-
   // --- Aggregation ---
 
   Row CollectSlots(const std::vector<int>& slots) {
@@ -875,9 +882,37 @@ class Engine::Txn {
     return std::nullopt;
   }
 
-  /// Processes one aggregate rule: collects binding deltas via its delta
-  /// plans (plus init full eval), updates the persistent group state, and
-  /// emits head count deltas for dirty groups.
+  /// Adds `weight` to `row`'s entry in `zset`, dropping it at zero; the row
+  /// moves into the map (one hash lookup, no copy).
+  static void AddWeight(ZSet& zset, Row row, int64_t weight) {
+    auto it = zset.try_emplace(std::move(row), 0).first;
+    it->second += weight;
+    if (it->second == 0) zset.erase(it);
+  }
+
+  /// Adds `weight` x the head row of aggregate `rule` for `group` with the
+  /// aggregate value `result` to `head_delta` (nothing if there is none).
+  Status EmitAggHead(const CompiledRule& rule, const StepPlan& agg,
+                     const Row& group, const std::optional<Value>& result,
+                     int64_t weight, ZSet& head_delta) {
+    if (!result) return Status::Ok();
+    frame_.assign(static_cast<size_t>(rule.frame_size), Value());
+    bound_.assign(static_cast<size_t>(rule.frame_size), 0);
+    for (size_t g = 0; g < agg.group_slots.size(); ++g) {
+      size_t slot = static_cast<size_t>(agg.group_slots[g]);
+      frame_[slot] = group[g];
+      bound_[slot] = 1;
+    }
+    frame_[static_cast<size_t>(agg.result_slot)] = *result;
+    bound_[static_cast<size_t>(agg.result_slot)] = 1;
+    NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
+    AddWeight(head_delta, std::move(row), weight);
+    return Status::Ok();
+  }
+
+  /// Processes one aggregate rule: collects binding deltas via EvalRule,
+  /// updates the persistent group state, and emits head count deltas for
+  /// dirty groups.
   Status ProcessAggRule(const CompiledRule& rule, ZSet& head_delta) {
     const StepPlan& agg =
         rule.steps[static_cast<size_t>(rule.aggregate_step)];
@@ -895,19 +930,21 @@ class Engine::Txn {
       if (w == 0) bucket.erase(binding);
       return Status::Ok();
     };
-
-    if (is_init_ && !RuleHasPositiveLiteral(rule)) {
-      NERPA_RETURN_IF_ERROR(
-          ProcessInitFull(rule, /*stop_at_aggregate=*/true, collect));
-    }
-    for (const DeltaPlan& plan : rule.delta_plans) {
-      NERPA_RETURN_IF_ERROR(
-          ProcessDeltaPlan(rule, plan, /*stop_at_aggregate=*/true, collect));
-    }
+    NERPA_RETURN_IF_ERROR(EvalRule(rule, /*stop_at_aggregate=*/true, collect));
     if (collected.empty()) return Status::Ok();
 
     AggState& state =
         e_.agg_states_[static_cast<size_t>(agg.agg_state_index)];
+    if (from_empty_) {
+      // Every group is new: install the collected state wholesale.
+      state.groups = std::move(collected);
+      for (const auto& [group, bindings] : state.groups) {
+        NERPA_RETURN_IF_ERROR(EmitAggHead(rule, agg, group,
+                                          ComputeAgg(agg, bindings), +1,
+                                          head_delta));
+      }
+      return Status::Ok();
+    }
     for (auto& [group, delta] : collected) {
       ZSet& group_state = state.groups[group];
       std::optional<Value> old_result = ComputeAgg(agg, group_state);
@@ -924,30 +961,10 @@ class Engine::Txn {
       std::optional<Value> new_result = ComputeAgg(agg, group_state);
       if (group_state.empty()) state.groups.erase(group);
       if (old_result == new_result) continue;
-      // Emit head transitions with the group frame.
-      frame_.assign(static_cast<size_t>(rule.frame_size), Value());
-      bound_.assign(static_cast<size_t>(rule.frame_size), 0);
-      for (size_t g = 0; g < agg.group_slots.size(); ++g) {
-        size_t slot = static_cast<size_t>(agg.group_slots[g]);
-        frame_[slot] = group[g];
-        bound_[slot] = 1;
-      }
-      if (old_result) {
-        frame_[static_cast<size_t>(agg.result_slot)] = *old_result;
-        bound_[static_cast<size_t>(agg.result_slot)] = 1;
-        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        int64_t& w = head_delta[row];
-        w -= 1;
-        if (w == 0) head_delta.erase(row);
-      }
-      if (new_result) {
-        frame_[static_cast<size_t>(agg.result_slot)] = *new_result;
-        bound_[static_cast<size_t>(agg.result_slot)] = 1;
-        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        int64_t& w = head_delta[row];
-        w += 1;
-        if (w == 0) head_delta.erase(row);
-      }
+      NERPA_RETURN_IF_ERROR(
+          EmitAggHead(rule, agg, group, old_result, -1, head_delta));
+      NERPA_RETURN_IF_ERROR(
+          EmitAggHead(rule, agg, group, new_result, +1, head_delta));
     }
     return Status::Ok();
   }
@@ -972,19 +989,10 @@ class Engine::Txn {
       }
       auto emit = [&](int64_t weight) -> Status {
         NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        int64_t& w = head_delta[row];
-        w += weight;
-        if (w == 0) head_delta.erase(row);
+        AddWeight(head_delta, std::move(row), weight);
         return Status::Ok();
       };
-      if (is_init_ && !RuleHasPositiveLiteral(rule)) {
-        NERPA_RETURN_IF_ERROR(
-            ProcessInitFull(rule, /*stop_at_aggregate=*/false, emit));
-      }
-      for (const DeltaPlan& plan : rule.delta_plans) {
-        NERPA_RETURN_IF_ERROR(
-            ProcessDeltaPlan(rule, plan, /*stop_at_aggregate=*/false, emit));
-      }
+      NERPA_RETURN_IF_ERROR(EvalRule(rule, /*stop_at_aggregate=*/false, emit));
     }
     Status folded = FoldCountDelta(head_rel, head_delta);
     ResetTxnMap(head_delta);
@@ -1001,8 +1009,13 @@ class Engine::Txn {
         inserted_index;  // parallel to the relation's arrangements
   };
 
+  using SccWorkMap = std::unordered_map<int, SccWork>;
+
+  /// Semi-naive insertion over the post-deletion state of a recursive
+  /// stratum, preceded (unless from empty, where nothing can be deleted)
+  /// by DRed's overdelete-and-rederive pass.
   Status ProcessRecursive(const Stratum& stratum) {
-    std::unordered_map<int, SccWork> work;
+    SccWorkMap work;
     for (int rel : stratum.relations) {
       SccWork& w = work[rel];
       w.inserted_index.resize(
@@ -1010,22 +1023,147 @@ class Engine::Txn {
     }
     auto in_scc = [&](int rel) { return work.count(rel) != 0; };
 
-    // Does any external dependency carry a delta?  (Cheap early-out.)
-    bool external_change = is_init_;
+    if (!from_empty_) {
+      // Does any external dependency carry a delta?  (Cheap early-out.)
+      bool external_change = false;
+      for (int rule_index : stratum.rules) {
+        const CompiledRule& rule =
+            program_.rules()[static_cast<size_t>(rule_index)];
+        for (const StepPlan& step : rule.steps) {
+          if (step.kind != BodyElem::Kind::kLiteral || in_scc(step.relation)) {
+            continue;
+          }
+          RelState& state = e_.relations_[static_cast<size_t>(step.relation)];
+          if (!state.set_delta.empty()) external_change = true;
+        }
+      }
+      if (!external_change) return Status::Ok();
+      NERPA_RETURN_IF_ERROR(OverdeleteAndRederive(stratum, work));
+    }
+
+    // ---- Phase 2: semi-naive insertion over the post-deletion state. ----
+    Overlay insert_overlay;
+    for (int rel : stratum.relations) {
+      RelOverlay ov;
+      ov.removed = &work[rel].overdeleted;
+      ov.removed_except = &work[rel].rederived;
+      ov.added = &work[rel].inserted;
+      ov.added_index = &work[rel].inserted_index;
+      insert_overlay[rel] = ov;
+    }
+    overlay_ = &insert_overlay;
+    std::vector<std::pair<int, Row>> insert_worklist;
+    auto insert_tuple = [&](int rel, const Row& row) {
+      SccWork& w = work[rel];
+      if (w.inserted.count(row) != 0) return;
+      // Present in the working state already?
+      RelState& state = e_.relations_[static_cast<size_t>(rel)];
+      bool base_present = state.counts.count(row) != 0 &&
+                          !(w.overdeleted.count(row) != 0 &&
+                            w.rederived.count(row) == 0);
+      if (base_present) return;
+      w.inserted.insert(row);
+      const auto& specs = program_.arrangements()[static_cast<size_t>(rel)];
+      for (size_t a = 0; a < specs.size(); ++a) {
+        RowView key = ProjectInto(row, specs[a].key_positions, arr_key_buf_);
+        auto& index = w.inserted_index[a];
+        auto it = index.find(key);
+        if (it == index.end()) {
+          ++e_.key_rows_materialized_;
+          it = index.emplace(MaterializeKey(key), std::vector<Row>{}).first;
+        }
+        it->second.push_back(row);
+      }
+      insert_worklist.emplace_back(rel, row);
+    };
+
     for (int rule_index : stratum.rules) {
       const CompiledRule& rule =
           program_.rules()[static_cast<size_t>(rule_index)];
-      for (const StepPlan& step : rule.steps) {
-        if (step.kind != BodyElem::Kind::kLiteral || in_scc(step.relation)) {
-          continue;
+      auto emit = [&](std::vector<Value>&) -> Status {
+        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
+        insert_tuple(rule.head_relation, row);
+        return Status::Ok();
+      };
+      if (from_empty_) {
+        // SCC relations start empty, so only rules without a positive SCC
+        // literal can seed; the worklist drives the rest.
+        bool reads_scc = std::any_of(
+            rule.steps.begin(), rule.steps.end(), [&](const StepPlan& step) {
+              return step.kind == BodyElem::Kind::kLiteral && !step.negated &&
+                     in_scc(step.relation);
+            });
+        if (reads_scc) continue;
+        NERPA_RETURN_IF_ERROR(EvalRule(
+            rule, /*stop_at_aggregate=*/false,
+            [&](int64_t) -> Status { return emit(frame_); }));
+        continue;
+      }
+      // Rules with only external literals and fact-like rules fire through
+      // insertion-direction external deltas.
+      for (const DeltaPlan& plan : rule.delta_plans) {
+        const StepPlan& pinned =
+            rule.steps[static_cast<size_t>(plan.pinned_step)];
+        if (in_scc(pinned.relation)) continue;
+        NERPA_RETURN_IF_ERROR(ProcessDeltaVariantDirection(
+            rule, plan, /*deletion_direction=*/false, Mode::kNew, emit));
+      }
+      // Rederived-from-deletions interplay: a deleted external tuple can
+      // also *enable* a negated literal; that is the insertion direction of
+      // a negated pin and is covered above.
+    }
+    while (!insert_worklist.empty()) {
+      auto [rel, row] = std::move(insert_worklist.back());
+      insert_worklist.pop_back();
+      for (int rule_index : stratum.rules) {
+        const CompiledRule& rule =
+            program_.rules()[static_cast<size_t>(rule_index)];
+        for (const DeltaPlan& plan : rule.delta_plans) {
+          const StepPlan& pinned =
+              rule.steps[static_cast<size_t>(plan.pinned_step)];
+          if (pinned.relation != rel || pinned.negated) continue;
+          Exec exec;
+          exec.rule = &rule;
+          exec.lookups = &plan.lookups;
+          exec.skip_step = plan.pinned_step;
+          exec.delta_modes = false;
+          exec.uniform_mode = Mode::kNew;
+          NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
+            std::vector<int> trail;
+            if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
+            return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
+              NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+              insert_tuple(rule.head_relation, head);
+              return Status::Ok();
+            });
+          }));
         }
-        RelState& state = e_.relations_[static_cast<size_t>(step.relation)];
-        if (!state.set_delta.empty()) external_change = true;
       }
     }
-    if (!external_change) return Status::Ok();
+    overlay_ = nullptr;
 
-    // ---- Phase 1: overdelete, then rederive (DRed). ----
+    // ---- Fold the net changes. ----
+    for (int rel : stratum.relations) {
+      SccWork& w = work[rel];
+      SetDelta delta;
+      for (const Row& row : w.overdeleted) {
+        if (w.rederived.count(row) != 0) continue;
+        if (w.inserted.count(row) != 0) continue;  // net zero
+        delta.emplace_back(row, -1);
+      }
+      for (const Row& row : w.inserted) {
+        delta.emplace_back(row, +1);
+      }
+      FoldSetDelta(rel, delta);
+    }
+    return Status::Ok();
+  }
+
+  /// DRed phase of a recursive stratum: overdeletes everything that
+  /// depended on a deleted tuple (all reads OLD), then rederives the
+  /// overdeleted tuples still derivable from the remainder.
+  Status OverdeleteAndRederive(const Stratum& stratum, SccWorkMap& work) {
+    auto in_scc = [&](int rel) { return work.count(rel) != 0; };
     // Seeds: deletion-direction external changes, everything read OLD.
     std::vector<std::pair<int, Row>> worklist;  // (relation, tuple)
     auto overdelete = [&](int rel, const Row& row) {
@@ -1153,118 +1291,6 @@ class Engine::Txn {
       }
       overlay_ = nullptr;
     }
-
-    // ---- Phase 2: semi-naive insertion over the post-deletion state. ----
-    Overlay insert_overlay;
-    for (int rel : stratum.relations) {
-      RelOverlay ov;
-      ov.removed = &work[rel].overdeleted;
-      ov.removed_except = &work[rel].rederived;
-      ov.added = &work[rel].inserted;
-      ov.added_index = &work[rel].inserted_index;
-      insert_overlay[rel] = ov;
-    }
-    overlay_ = &insert_overlay;
-    std::vector<std::pair<int, Row>> insert_worklist;
-    auto insert_tuple = [&](int rel, const Row& row) {
-      SccWork& w = work[rel];
-      if (w.inserted.count(row) != 0) return;
-      // Present in the working state already?
-      RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      bool base_present = state.counts.count(row) != 0 &&
-                          !(w.overdeleted.count(row) != 0 &&
-                            w.rederived.count(row) == 0);
-      if (base_present) return;
-      w.inserted.insert(row);
-      const auto& specs = program_.arrangements()[static_cast<size_t>(rel)];
-      for (size_t a = 0; a < specs.size(); ++a) {
-        RowView key = ProjectInto(row, specs[a].key_positions, arr_key_buf_);
-        auto& index = w.inserted_index[a];
-        auto it = index.find(key);
-        if (it == index.end()) {
-          ++c_.key_rows_materialized;
-          it = index.emplace(MaterializeKey(key), std::vector<Row>{}).first;
-        }
-        it->second.push_back(row);
-      }
-      insert_worklist.emplace_back(rel, row);
-    };
-
-    for (int rule_index : stratum.rules) {
-      const CompiledRule& rule =
-          program_.rules()[static_cast<size_t>(rule_index)];
-      auto emit = [&](std::vector<Value>&) -> Status {
-        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        insert_tuple(rule.head_relation, row);
-        return Status::Ok();
-      };
-      if (is_init_ && !RuleHasPositiveLiteral(rule)) {
-        Exec exec;
-        exec.rule = &rule;
-        exec.lookups = &rule.full_plan.lookups;
-        exec.delta_modes = false;
-        exec.uniform_mode = Mode::kOld;
-        NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-          return ExecSteps(exec, 0, 0, emit);
-        }));
-      }
-      // Also: rules with only external literals and fact-like rules fire
-      // through insertion-direction external deltas.
-      for (const DeltaPlan& plan : rule.delta_plans) {
-        const StepPlan& pinned =
-            rule.steps[static_cast<size_t>(plan.pinned_step)];
-        if (in_scc(pinned.relation)) continue;
-        NERPA_RETURN_IF_ERROR(ProcessDeltaVariantDirection(
-            rule, plan, /*deletion_direction=*/false, Mode::kNew, emit));
-      }
-      // Rederived-from-deletions interplay: a deleted external tuple can
-      // also *enable* a negated literal; that is the insertion direction of
-      // a negated pin and is covered above.
-    }
-    while (!insert_worklist.empty()) {
-      auto [rel, row] = std::move(insert_worklist.back());
-      insert_worklist.pop_back();
-      for (int rule_index : stratum.rules) {
-        const CompiledRule& rule =
-            program_.rules()[static_cast<size_t>(rule_index)];
-        for (const DeltaPlan& plan : rule.delta_plans) {
-          const StepPlan& pinned =
-              rule.steps[static_cast<size_t>(plan.pinned_step)];
-          if (pinned.relation != rel || pinned.negated) continue;
-          Exec exec;
-          exec.rule = &rule;
-          exec.lookups = &plan.lookups;
-          exec.skip_step = plan.pinned_step;
-          exec.delta_modes = false;
-          exec.uniform_mode = Mode::kNew;
-          NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-            std::vector<int> trail;
-            if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-            return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-              NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-              insert_tuple(rule.head_relation, head);
-              return Status::Ok();
-            });
-          }));
-        }
-      }
-    }
-    overlay_ = nullptr;
-
-    // ---- Fold the net changes. ----
-    for (int rel : stratum.relations) {
-      SccWork& w = work[rel];
-      std::vector<std::pair<Row, int>> delta;
-      for (const Row& row : w.overdeleted) {
-        if (w.rederived.count(row) != 0) continue;
-        if (w.inserted.count(row) != 0) continue;  // net zero
-        delta.emplace_back(row, -1);
-      }
-      for (const Row& row : w.inserted) {
-        delta.emplace_back(row, +1);
-      }
-      FoldSetDelta(rel, delta);
-    }
     return Status::Ok();
   }
 
@@ -1389,83 +1415,76 @@ class Engine::Txn {
 
   // --- Inputs / outputs / cleanup ---
 
-  Status ApplyInputs() {
-    if (e_.pending_.empty()) return Status::Ok();
-    if (e_.pending_.size() <= e_.options_.small_commit_ops) {
-      return ApplyInputsSmall();
-    }
-    // Net presence change per (relation, row), respecting op order.
-    std::map<int, std::vector<std::pair<Row, int>>> net;
-    std::map<int, std::unordered_map<Row, bool, RowHash, RowEq>> finals;
-    for (const auto& [rel, row, direction] : e_.pending_) {
-      finals[rel][row] = direction > 0;
-    }
-    for (auto& [rel, rows] : finals) {
-      RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      for (auto& [row, present_final] : rows) {
-        bool present_initial = state.counts.count(row) != 0;
-        if (present_initial == present_final) continue;
-        net[rel].emplace_back(row, present_final ? +1 : -1);
-      }
-    }
-    e_.pending_.clear();
-    for (auto& [rel, delta] : net) {
-      FoldSetDelta(rel, delta);
-    }
-    return Status::Ok();
-  }
+  /// Batches up to this many queued ops find superseded ops by a linear
+  /// scan; larger ones by a hash set over the batch.
+  static constexpr size_t kSmallCommitOps = 64;
 
-  /// Small-commit fast path: the batch is tiny, so last-op-wins netting is
-  /// a quadratic scan over the pending vector and per-relation grouping
-  /// reuses persistent scratch — no std::map nodes, no hash tables, no
-  /// allocations in steady state.
-  Status ApplyInputsSmall() {
-    const auto& pending = e_.pending_;
-    for (auto& [rel, delta] : small_input_scratch_) delta.clear();
-    for (size_t i = 0; i < pending.size(); ++i) {
-      const auto& [rel, row, direction] = pending[i];
-      bool superseded = false;  // a later op on the same (rel, row) wins
-      for (size_t j = i + 1; j < pending.size() && !superseded; ++j) {
-        superseded =
-            std::get<0>(pending[j]) == rel && std::get<1>(pending[j]) == row;
-      }
-      if (superseded) continue;
-      RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      bool present_final = direction > 0;
-      if ((state.counts.count(row) != 0) == present_final) continue;
-      std::vector<std::pair<Row, int>>* delta = nullptr;
-      for (auto& [r, d] : small_input_scratch_) {
-        if (r == rel) {
-          delta = &d;
-          break;
+  /// Nets the queued ops into per-relation set deltas and folds them: the
+  /// last op per (relation, row) wins, and ops that leave a row as it was
+  /// drop out.  Rows move out of the batch, and the per-relation grouping
+  /// reuses persistent scratch, so small steady-state commits allocate
+  /// nothing here.
+  void ApplyInputs() {
+    auto& pending = e_.pending_;
+    if (pending.empty()) return;
+    superseded_.assign(pending.size(), 0);
+    auto same_op = [&](size_t i, size_t j) {
+      return std::get<0>(pending[i]) == std::get<0>(pending[j]) &&
+             std::get<1>(pending[i]) == std::get<1>(pending[j]);
+    };
+    if (pending.size() <= kSmallCommitOps) {
+      for (size_t i = 0; i < pending.size(); ++i) {
+        for (size_t j = i + 1; j < pending.size() && !superseded_[i]; ++j) {
+          superseded_[i] = same_op(i, j);
         }
       }
-      if (delta == nullptr) {
-        delta = &small_input_scratch_.emplace_back(rel,
-                                                   std::vector<std::pair<Row, int>>{})
-                     .second;
+    } else {
+      auto hash = [&](size_t i) {
+        return std::get<1>(pending[i]).Hash() ^
+               static_cast<size_t>(std::get<0>(pending[i]));
+      };
+      std::unordered_set<size_t, decltype(hash), decltype(same_op)> later(
+          pending.size(), hash, same_op);
+      for (size_t i = pending.size(); i-- > 0;) {
+        superseded_[i] = !later.insert(i).second;
       }
-      delta->emplace_back(row, present_final ? +1 : -1);
     }
-    e_.pending_.clear();
-    for (const auto& [rel, delta] : small_input_scratch_) {
-      if (!delta.empty()) FoldSetDelta(rel, delta);
+    for (auto& [rel, delta] : input_scratch_) delta.clear();
+    for (size_t i = 0; i < pending.size(); ++i) {
+      if (superseded_[i]) continue;
+      auto& [rel, row, direction] = pending[i];
+      RelState& state = e_.relations_[static_cast<size_t>(rel)];
+      if ((state.counts.count(row) != 0) == (direction > 0)) continue;
+      SetDelta* delta = nullptr;
+      for (auto& [r, d] : input_scratch_) {
+        if (r == rel) delta = &d;
+      }
+      if (delta == nullptr) {
+        delta = &input_scratch_.emplace_back(rel, SetDelta{}).second;
+      }
+      delta->emplace_back(std::move(row), direction);
     }
-    return Status::Ok();
+    pending.clear();
+    for (auto& [rel, delta] : input_scratch_) {
+      FoldSetDelta(rel, delta);
+      if (delta.capacity() > 1024) SetDelta{}.swap(delta);
+    }
   }
 
   TxnDelta CollectOutputs() {
     TxnDelta out;
-    // Only relations touched this transaction can carry a delta.
+    // Only relations touched this transaction can carry a delta; from
+    // empty, a relation's whole contents are its delta.
     for (int rel : dirty_rels_) {
       const RelationDecl& decl =
           program_.relations()[static_cast<size_t>(rel)];
       if (decl.role != RelationRole::kOutput) continue;
       RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      if (state.set_delta.empty()) continue;
+      const ZSet& changes = from_empty_ ? state.counts : state.set_delta;
+      if (changes.empty()) continue;
       SetDelta delta;
-      delta.reserve(state.set_delta.size());
-      for (const auto& [row, d] : state.set_delta) {
+      delta.reserve(changes.size());
+      for (const auto& [row, d] : changes) {
         if (d != 0) delta.emplace_back(row, d > 0 ? +1 : -1);
       }
       std::sort(delta.begin(), delta.end(),
@@ -1478,19 +1497,6 @@ class Engine::Txn {
     return out;
   }
 
-  // --- Bootstrap: full evaluation into a completely empty engine ---
-  //
-  // The delta-rule expansion is wasted work when the engine holds nothing:
-  // every delta variant except "pinned on the last-bound positive literal"
-  // joins against empty OLD state, the undo log records a fold per derived
-  // row that rollback could replace with "wipe to empty", and set-delta
-  // bookkeeping tracks transitions that are all trivially 0 -> 1.  So a
-  // transaction against an empty engine runs here instead: one full
-  // evaluation per rule in uniform NEW mode against the already-folded
-  // lower strata, bulk-built arrangements, and no per-row undo/delta
-  // bookkeeping.  Outputs are byte-identical to the incremental path
-  // (differential-tested); rollback is a wipe back to empty.
-
   bool EngineIsEmpty() const {
     for (const RelState& state : e_.relations_) {
       if (!state.counts.empty()) return false;
@@ -1501,468 +1507,17 @@ class Engine::Txn {
     return true;
   }
 
-  Result<TxnDelta> RunBootstrap() {
-    Status status = ExecuteBootstrap();
-    if (!status.ok()) {
-      WipeToEmpty();
-      FlushCounters();
-      return status;
-    }
-    TxnDelta out = CollectBootstrapOutputs();
-    for (int rel : dirty_rels_) {
-      e_.relations_[static_cast<size_t>(rel)].dirty = false;
-    }
-    dirty_rels_.clear();
-    FlushCounters();
-    ++e_.transactions_;
-    return out;
-  }
-
-  Status ExecuteBootstrap() {
-    ApplyInputsBootstrap();
-    for (const Stratum& stratum : program_.strata()) {
-      if (stratum.recursive) {
-        NERPA_RETURN_IF_ERROR(BootstrapRecursive(stratum));
-      } else {
-        NERPA_RETURN_IF_ERROR(BootstrapNonRecursive(stratum));
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Nets the queued inputs straight into relation counts.  Last op per
-  /// (relation, row) wins, so the batch is walked backwards and the first
-  /// op seen decides; tombstones are tracked only for final deletes (a
-  /// bootstrap batch — e.g. a monitor full dump — is typically all
-  /// inserts, so the common case allocates nothing extra).
-  void ApplyInputsBootstrap() {
-    std::unordered_map<int, RowSet> final_deletes;
-    for (auto it = e_.pending_.rbegin(); it != e_.pending_.rend(); ++it) {
-      const auto& [rel, row, direction] = *it;
-      if (direction > 0) {
-        auto fd = final_deletes.find(rel);
-        if (fd != final_deletes.end() && fd->second.count(row) != 0) continue;
-        RelState& state = e_.relations_[static_cast<size_t>(rel)];
-        if (state.counts.emplace(row, 1).second) MarkDirty(rel);
-      } else {
-        final_deletes[rel].insert(row);
-      }
-    }
-    e_.pending_.clear();
-    for (int rel : dirty_rels_) BuildArrangements(rel);
-  }
-
-  /// The positive literal whose relation holds the most rows: the best
-  /// axis to partition the join pass across workers.  -1 if the body has
-  /// no positive literal.
-  int ChooseBootstrapPin(const CompiledRule& rule) const {
-    int best = -1;
-    size_t best_rows = 0;
-    for (size_t s = 0; s < rule.steps.size(); ++s) {
-      const StepPlan& step = rule.steps[s];
-      if (step.kind != BodyElem::Kind::kLiteral || step.negated) continue;
-      size_t rows =
-          e_.relations_[static_cast<size_t>(step.relation)].counts.size();
-      if (best < 0 || rows > best_rows) {
-        best = static_cast<int>(s);
-        best_rows = rows;
-      }
-    }
-    return best;
-  }
-
-  static const DeltaPlan* FindDeltaPlan(const CompiledRule& rule,
-                                        int pinned_step) {
-    for (const DeltaPlan& plan : rule.delta_plans) {
-      if (plan.pinned_step == pinned_step) return &plan;
-    }
-    return nullptr;
-  }
-
-  /// Evaluates `rule` over a slice of the pinned relation's rows, with all
-  /// other literals read in NEW mode, appending head derivations to `out`.
-  /// Runs on worker Txns during the parallel bootstrap: reads only shared
-  /// engine state (stable during a stratum's evaluation) and writes only
-  /// this Txn's scratch plus `out`.
-  Status BootstrapEvalPinned(const CompiledRule& rule, const DeltaPlan& plan,
-                             const Row* const* rows, size_t n,
-                             std::vector<Row>& out) {
-    const StepPlan& pinned =
-        rule.steps[static_cast<size_t>(plan.pinned_step)];
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &plan.lookups;
-    exec.skip_step = plan.pinned_step;
-    exec.pinned_step = plan.pinned_step;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kNew;
-    auto emit = [&](std::vector<Value>&) -> Status {
-      return EmitBootstrapHead(rule, out);
-    };
-    std::vector<int>& trail =
-        trail_buffers_[static_cast<size_t>(plan.pinned_step)];
-    for (size_t i = 0; i < n; ++i) {
-      const Row& row = *rows[i];
-      NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-        trail.clear();
-        if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-        return ExecSteps(exec, 0, 0, emit);
-      }));
-    }
-    return Status::Ok();
-  }
-
-  /// Lazily builds the engine's bootstrap pool + per-worker Txns; returns
-  /// the worker count (1 = stay serial).
-  size_t EnsureWorkers() {
-    size_t want = e_.options_.bootstrap_threads;
-    if (want == 0) {
-      unsigned hw = std::thread::hardware_concurrency();
-      want = hw == 0 ? 1 : std::min<size_t>(hw, 16);
-    }
-    if (want <= 1) return 1;
-    if (e_.bootstrap_pool_ == nullptr) {
-      e_.bootstrap_pool_ = std::make_unique<nerpa::ThreadPool>(want);
-      for (size_t i = 0; i < want; ++i) {
-        e_.bootstrap_workers_.push_back(std::make_unique<Txn>(&e_));
-      }
-    }
-    return e_.bootstrap_workers_.size();
-  }
-
-  /// Fans one rule's join pass out across the pool: the pinned relation's
-  /// rows are split into contiguous chunks, each worker Txn evaluates its
-  /// chunk into a private row vector (private frame/scratch/counters,
-  /// shared read-only engine state), and the partials concatenate at the
-  /// barrier.  The stratum fold sorts before aggregating derivation
-  /// counts, so concatenation order cannot affect the result — serial and
-  /// parallel bootstraps are byte-identical.
-  Status BootstrapRuleParallel(const CompiledRule& rule, const DeltaPlan& plan,
-                               RelState& pinned_state,
-                               std::vector<Row>& emitted) {
-    std::vector<const Row*> rows;
-    rows.reserve(pinned_state.counts.size());
-    for (const auto& [row, count] : pinned_state.counts) rows.push_back(&row);
-    size_t n = rows.size();
-    size_t workers = e_.bootstrap_workers_.size();
-    size_t chunk = (n + workers - 1) / workers;
-    std::vector<std::vector<Row>> partial(workers);
-    std::vector<Status> status(workers, Status::Ok());
-    for (size_t w = 0; w < workers; ++w) {
-      size_t begin = w * chunk;
-      size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      Txn* worker = e_.bootstrap_workers_[w].get();
-      std::vector<Row>* out = &partial[w];
-      Status* st = &status[w];
-      e_.bootstrap_pool_->Submit([worker, &rule, &plan, &rows, begin, end,
-                                  out, st]() {
-        *st = worker->BootstrapEvalPinned(rule, plan, rows.data() + begin,
-                                          end - begin, *out);
-      });
-    }
-    e_.bootstrap_pool_->WaitIdle();
-    for (const std::unique_ptr<Txn>& worker : e_.bootstrap_workers_) {
-      worker->FlushCounters();
-    }
-    for (const Status& st : status) NERPA_RETURN_IF_ERROR(st);
-    for (std::vector<Row>& p : partial) {
-      emitted.insert(emitted.end(), std::make_move_iterator(p.begin()),
-                     std::make_move_iterator(p.end()));
-    }
-    return Status::Ok();
-  }
-
-  Status BootstrapRule(const CompiledRule& rule, std::vector<Row>& emitted) {
-    int pin = ChooseBootstrapPin(rule);
-    if (pin >= 0) {
-      const StepPlan& pinned = rule.steps[static_cast<size_t>(pin)];
-      RelState& pinned_state =
-          e_.relations_[static_cast<size_t>(pinned.relation)];
-      if (pinned_state.counts.empty()) return Status::Ok();  // empty join
-      const DeltaPlan* plan = FindDeltaPlan(rule, pin);
-      if (plan != nullptr &&
-          pinned_state.counts.size() >=
-              e_.options_.parallel_bootstrap_min_rows &&
-          EnsureWorkers() > 1) {
-        return BootstrapRuleParallel(rule, *plan, pinned_state, emitted);
-      }
-    }
-    // Serial: one full evaluation against the post-state of lower strata.
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &rule.full_plan.lookups;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kNew;
-    return WithFrame(rule, [&]() -> Status {
-      return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-        return EmitBootstrapHead(rule, emitted);
-      });
-    });
-  }
-
-  /// Appends `rule`'s head row for the current frame to `out`.  The
-  /// all-bare-variable head gathers in place, skipping the Result<Row>
-  /// plumbing entirely — this runs once per derived tuple during cold
-  /// start, the single hottest call in a bootstrap.
-  Status EmitBootstrapHead(const CompiledRule& rule, std::vector<Row>& out) {
-    if (rule.head_all_vars) {
-      Row& row = out.emplace_back();
-      row.reserve(rule.head_var_slots.size());
-      for (int slot : rule.head_var_slots) {
-        row.push_back(frame_[static_cast<size_t>(slot)]);
-      }
-      return Status::Ok();
-    }
-    NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-    out.push_back(std::move(head));
-    return Status::Ok();
-  }
-
-  /// Bootstrap aggregation: collect all bindings with one full evaluation,
-  /// install the group state wholesale (no undo log — rollback wipes), and
-  /// emit each group's result row.
-  Status BootstrapAggRule(const CompiledRule& rule,
-                          std::vector<Row>& emitted) {
-    const StepPlan& agg =
-        rule.steps[static_cast<size_t>(rule.aggregate_step)];
-    std::unordered_map<Row, ZSet, RowHash, RowEq> collected;
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &rule.full_plan.lookups;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kNew;
-    exec.stop_at_aggregate = true;
-    NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-      return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-        Row group = CollectSlots(agg.group_slots);
-        Row binding = CollectSlots(agg.binding_slots);
-        NERPA_ASSIGN_OR_RETURN(Value arg, EvalExpr(*agg.agg_arg, frame_));
-        binding.push_back(std::move(arg));
-        ++collected[std::move(group)][std::move(binding)];
-        return Status::Ok();
-      });
-    }));
-    if (collected.empty()) return Status::Ok();
-    AggState& state =
-        e_.agg_states_[static_cast<size_t>(agg.agg_state_index)];
-    for (auto& [group, bindings] : collected) {
-      ZSet& group_state = state.groups[group];
-      for (auto& [binding, weight] : bindings) group_state[binding] = weight;
-      std::optional<Value> result = ComputeAgg(agg, group_state);
-      if (!result) continue;
-      frame_.assign(static_cast<size_t>(rule.frame_size), Value());
-      bound_.assign(static_cast<size_t>(rule.frame_size), 0);
-      for (size_t g = 0; g < agg.group_slots.size(); ++g) {
-        size_t slot = static_cast<size_t>(agg.group_slots[g]);
-        frame_[slot] = group[g];
-        bound_[slot] = 1;
-      }
-      frame_[static_cast<size_t>(agg.result_slot)] = *result;
-      bound_[static_cast<size_t>(agg.result_slot)] = 1;
-      NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-      emitted.push_back(std::move(row));
-    }
-    return Status::Ok();
-  }
-
-  /// Folds a stratum's emitted head rows into its relation: sort, run-length
-  /// aggregate equal rows into derivation counts, bulk-load, and — because
-  /// the rows are now sorted and unique — emit the output set delta as a
-  /// by-product, exactly matching the sorted form CollectOutputs() produces
-  /// on the incremental path.
-  void FoldBootstrapStratum(int rel, std::vector<Row>& emitted) {
-    if (emitted.empty()) return;
-    MarkDirty(rel);
-    std::sort(emitted.begin(), emitted.end());
-    size_t unique = 0;
-    for (size_t i = 0; i < emitted.size(); ++unique) {
-      size_t j = i + 1;
-      while (j < emitted.size() && emitted[i] == emitted[j]) ++j;
-      i = j;
-    }
-    RelState& state = e_.relations_[static_cast<size_t>(rel)];
-    state.counts.reserve(unique);
-    const RelationDecl& decl = program_.relations()[static_cast<size_t>(rel)];
-    SetDelta* delta = nullptr;
-    if (decl.role == RelationRole::kOutput) {
-      delta = &bootstrap_delta_.outputs[decl.name];
-      delta->reserve(unique);
-    }
-    for (size_t i = 0; i < emitted.size();) {
-      size_t j = i + 1;
-      while (j < emitted.size() && emitted[i] == emitted[j]) ++j;
-      if (delta != nullptr) delta->emplace_back(emitted[i], +1);
-      state.counts.emplace(std::move(emitted[i]),
-                           static_cast<int64_t>(j - i));
-      i = j;
-    }
-    BuildArrangements(rel);
-    emitted.clear();
-  }
-
-  Status BootstrapNonRecursive(const Stratum& stratum) {
-    int head_rel = stratum.relations[0];
-    std::vector<Row>& emitted = bootstrap_emit_;
-    emitted.clear();
-    for (int rule_index : stratum.rules) {
-      const CompiledRule& rule =
-          program_.rules()[static_cast<size_t>(rule_index)];
-      if (rule.has_aggregate) {
-        NERPA_RETURN_IF_ERROR(BootstrapAggRule(rule, emitted));
-      } else {
-        NERPA_RETURN_IF_ERROR(BootstrapRule(rule, emitted));
-      }
-    }
-    FoldBootstrapStratum(head_rel, emitted);
-    return Status::Ok();
-  }
-
-  /// Bootstrap recursion: plain semi-naive insertion from empty SCC state.
-  /// Rules without an SCC positive literal seed via full evaluation (they
-  /// read only already-folded externals); the worklist then drives rules
-  /// pinned on each inserted SCC tuple, exactly like the incremental
-  /// insertion phase.  No DRed pass — nothing can be deleted from empty.
-  Status BootstrapRecursive(const Stratum& stratum) {
-    std::unordered_map<int, SccWork> work;
-    for (int rel : stratum.relations) {
-      SccWork& w = work[rel];
-      w.inserted_index.resize(
-          program_.arrangements()[static_cast<size_t>(rel)].size());
-    }
-    auto in_scc = [&](int rel) { return work.count(rel) != 0; };
-
-    Overlay insert_overlay;
-    for (int rel : stratum.relations) {
-      RelOverlay ov;
-      ov.added = &work[rel].inserted;
-      ov.added_index = &work[rel].inserted_index;
-      insert_overlay[rel] = ov;
-    }
-    overlay_ = &insert_overlay;
-    std::vector<std::pair<int, Row>> insert_worklist;
-    auto insert_tuple = [&](int rel, const Row& row) {
-      SccWork& w = work[rel];
-      if (w.inserted.count(row) != 0) return;
-      w.inserted.insert(row);
-      const auto& specs = program_.arrangements()[static_cast<size_t>(rel)];
-      for (size_t a = 0; a < specs.size(); ++a) {
-        RowView key = ProjectInto(row, specs[a].key_positions, arr_key_buf_);
-        auto& index = w.inserted_index[a];
-        auto it = index.find(key);
-        if (it == index.end()) {
-          ++c_.key_rows_materialized;
-          it = index.emplace(MaterializeKey(key), std::vector<Row>{}).first;
-        }
-        it->second.push_back(row);
-      }
-      insert_worklist.emplace_back(rel, row);
-    };
-
-    auto finish = [&](Status status) {
-      overlay_ = nullptr;
-      return status;
-    };
-    for (int rule_index : stratum.rules) {
-      const CompiledRule& rule =
-          program_.rules()[static_cast<size_t>(rule_index)];
-      bool has_scc_positive = false;
-      for (const StepPlan& step : rule.steps) {
-        if (step.kind == BodyElem::Kind::kLiteral && !step.negated &&
-            in_scc(step.relation)) {
-          has_scc_positive = true;
-          break;
-        }
-      }
-      if (has_scc_positive) continue;  // fires only via the worklist
-      Exec exec;
-      exec.rule = &rule;
-      exec.lookups = &rule.full_plan.lookups;
-      exec.delta_modes = false;
-      exec.uniform_mode = Mode::kNew;
-      Status status = WithFrame(rule, [&]() -> Status {
-        return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-          NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-          insert_tuple(rule.head_relation, head);
-          return Status::Ok();
-        });
-      });
-      if (!status.ok()) return finish(status);
-    }
-    while (!insert_worklist.empty()) {
-      auto [rel, row] = std::move(insert_worklist.back());
-      insert_worklist.pop_back();
-      for (int rule_index : stratum.rules) {
-        const CompiledRule& rule =
-            program_.rules()[static_cast<size_t>(rule_index)];
-        for (const DeltaPlan& plan : rule.delta_plans) {
-          const StepPlan& pinned =
-              rule.steps[static_cast<size_t>(plan.pinned_step)];
-          if (pinned.relation != rel || pinned.negated) continue;
-          Exec exec;
-          exec.rule = &rule;
-          exec.lookups = &plan.lookups;
-          exec.skip_step = plan.pinned_step;
-          exec.delta_modes = false;
-          exec.uniform_mode = Mode::kNew;
-          Status status = WithFrame(rule, [&]() -> Status {
-            std::vector<int> trail;
-            if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-            return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-              NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-              insert_tuple(rule.head_relation, head);
-              return Status::Ok();
-            });
-          });
-          if (!status.ok()) return finish(status);
-        }
-      }
-    }
-    overlay_ = nullptr;
-
-    for (int rel : stratum.relations) {
-      SccWork& w = work[rel];
-      if (w.inserted.empty()) continue;
-      // Reuse the stratum fold: semi-naive insertion already deduplicated,
-      // so every run has length 1 (count 1, set semantics in recursion).
-      std::vector<Row>& emitted = bootstrap_emit_;
-      emitted.clear();
-      emitted.reserve(w.inserted.size());
-      for (const Row& row : w.inserted) emitted.push_back(row);
-      FoldBootstrapStratum(rel, emitted);
-    }
-    return Status::Ok();
-  }
-
-  TxnDelta CollectBootstrapOutputs() {
-    TxnDelta out = std::move(bootstrap_delta_);
-    bootstrap_delta_ = TxnDelta{};
-    return out;
-  }
-
-  /// Bootstrap rollback: the pre-transaction state was empty, so undoing
+  /// From-empty rollback: the pre-transaction state was empty, so undoing
   /// is wiping every touched structure rather than replaying a log.
   void WipeToEmpty() {
-    overlay_ = nullptr;
     for (int rel : dirty_rels_) {
       RelState& state = e_.relations_[static_cast<size_t>(rel)];
       state.dirty = false;
       state.counts = ZSet{};
-      state.set_delta = ZSet{};
-      state.txn_deleted.clear();
-      for (Arrangement& arr : state.arrangements) {
-        arr.index = {};
-        arr.flips = {};
-        arr.deleted = {};
-      }
+      for (Arrangement& arr : state.arrangements) arr.index = {};
     }
     dirty_rels_.clear();
     for (AggState& agg : e_.agg_states_) agg.groups = {};
-    bootstrap_emit_ = std::vector<Row>{};
-    bootstrap_delta_ = TxnDelta{};
-    fold_log_.clear();
-    agg_log_.clear();
-    e_.pending_.clear();
   }
 
   /// clear() on an unordered_map keeps its buckets, and that is the fast
@@ -2005,7 +1560,7 @@ class Engine::Txn {
 
   Engine& e_;
   const Program& program_;
-  bool is_init_ = false;
+  bool from_empty_ = false;  // this transaction started from an empty engine
   const Overlay* overlay_ = nullptr;
   std::vector<Value> frame_;
   std::vector<char> bound_;
@@ -2035,25 +1590,11 @@ class Engine::Txn {
   std::vector<std::vector<int>> trail_buffers_;  // per-step-depth match
                                                  // trails (no per-row alloc)
   ZSet head_scratch_;                  // head-delta accumulator (reused)
-  std::vector<Row> bootstrap_emit_;    // bootstrap head-row accumulator
-  TxnDelta bootstrap_delta_;           // bootstrap output deltas (pre-sorted
-                                       // by the stratum fold)
 
-  /// Transaction-local hot-path counters (merged via FlushCounters()).
-  struct Counters {
-    uint64_t rule_firings = 0;
-    uint64_t probes = 0;
-    uint64_t probe_hits = 0;
-    uint64_t scans = 0;
-    uint64_t key_rows_materialized = 0;
-    uint64_t key_allocs_saved = 0;
-  };
-  Counters c_;
-
-  // Small-commit input scratch: per-relation net deltas, reused across
-  // commits so the fast path performs no map/node allocations.
-  std::vector<std::pair<int, std::vector<std::pair<Row, int>>>>
-      small_input_scratch_;
+  // Input netting scratch: per-op superseded flags and per-relation net
+  // deltas, reused across commits.
+  std::vector<char> superseded_;
+  std::vector<std::pair<int, SetDelta>> input_scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -2086,7 +1627,7 @@ void Engine::InitRuntime() {
 Engine::Engine(std::shared_ptr<const Program> program, EngineOptions options)
     : program_(std::move(program)), options_(options) {
   InitRuntime();
-  Result<TxnDelta> result = txn_->Run(/*is_init=*/true);
+  Result<TxnDelta> result = txn_->Run();
   if (result.ok()) {
     initial_delta_ = std::move(result).value();
   } else {
@@ -2136,7 +1677,7 @@ Status Engine::Delete(std::string_view relation, Row row) {
 
 Engine::~Engine() = default;
 
-Result<TxnDelta> Engine::Commit() { return txn_->Run(/*is_init=*/false); }
+Result<TxnDelta> Engine::Commit() { return txn_->Run(); }
 
 TxnDelta Engine::TakeInitialDelta() {
   TxnDelta out = std::move(initial_delta_);
@@ -2299,9 +1840,9 @@ struct BlobReader {
 
 uint64_t Engine::StateFingerprint() const {
   // Canonical program text pins rules, relations, and column types; the
-  // format version pins the blob layout.  Options that only shape derived
-  // indexes (use_arrangements, thread counts) are excluded — Restore()
-  // rebuilds those per its own options.
+  // format version pins the blob layout.  use_arrangements only shapes
+  // derived indexes, so it is excluded — Restore() rebuilds those per its
+  // own options.
   uint64_t h = Fnv1a(program_->ast().ToString());
   return Fnv1a(&kCheckpointVersion, sizeof(kCheckpointVersion), h);
 }
@@ -2414,7 +1955,6 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
       engine->txn_->BuildArrangements(static_cast<int>(rel));
     }
   }
-  engine->txn_->FlushCounters();
   return engine;
 }
 

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "dlog/arena.h"
 #include "dlog/program.h"
 
@@ -67,24 +66,6 @@ struct EngineOptions {
   /// ablation bench quantifies.  Programs with negation are rejected in
   /// this mode (incremental antijoin needs arrangement presence flips).
   bool use_arrangements = true;
-
-  /// Bootstrap fast path: a transaction against a completely empty engine
-  /// (the cold-start case §2.2 concedes) is evaluated as one full
-  /// evaluation per rule instead of the delta-rule expansion — no undo
-  /// logging, no per-row set-delta bookkeeping, bulk-built arrangements —
-  /// and large join passes fan out across a thread pool.  Results are
-  /// byte-identical to the incremental path (differential-tested).
-  bool enable_bootstrap = true;
-  /// Worker threads for the parallel bootstrap; 0 = hardware concurrency
-  /// (capped), 1 = serial bootstrap evaluation.
-  size_t bootstrap_threads = 0;
-  /// Minimum pinned-relation rows before a rule's join pass fans out.
-  size_t parallel_bootstrap_min_rows = 4096;
-
-  /// Small-commit fast path: transactions with at most this many queued
-  /// input ops skip the map-based input netting (linear scans over the
-  /// batch instead — no node allocations on the per-commit hot path).
-  size_t small_commit_ops = 64;
 };
 
 class Engine {
@@ -210,18 +191,12 @@ class Engine {
   TxnDelta initial_delta_;
   uint64_t rule_firings_ = 0;
   uint64_t transactions_ = 0;
-  // Hot-path counters, cumulative (see Stats).  Transactions accumulate
-  // into transaction-local counters and merge here at commit end, so the
-  // parallel bootstrap workers never contend on (or race over) these.
+  // Hot-path counters, cumulative (see Stats).
   uint64_t probes_ = 0;
   uint64_t probe_hits_ = 0;
   uint64_t scans_ = 0;
   uint64_t key_rows_materialized_ = 0;
   uint64_t key_allocs_saved_ = 0;
-
-  // Parallel-bootstrap machinery, created lazily on the first fan-out.
-  std::unique_ptr<nerpa::ThreadPool> bootstrap_pool_;
-  std::vector<std::unique_ptr<Txn>> bootstrap_workers_;
 };
 
 }  // namespace nerpa::dlog

@@ -121,7 +121,7 @@ struct CompiledRule {
   // be pinned.  For aggregate rules only literals before the aggregate.
   std::vector<DeltaPlan> delta_plans;
 
-  // Full evaluation (facts, re-derivation seeds, recursive seminaive seed).
+  // Full evaluation (from-empty transactions, large re-derivations).
   FullPlan full_plan;
   // Re-derivation plan: head variable slots that the head row binds
   // directly (only valid when head terms are plain vars/constants).

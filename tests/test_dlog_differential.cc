@@ -5,9 +5,12 @@
 //     output deltas for the same transaction stream;
 //   * the intern pool must preserve value equality/hashing across modes
 //     (the transparent-lookup contract probe-free joins rely on);
+//   * a commit into an empty engine (from-empty mode) must match the
+//     delta-rule path;
 //   * a failed Commit() (division by zero mid-rule) must roll back every
 //     partial effect — derivation counts, arrangements, aggregation state
-//     — leaving the engine exactly as before the failed transaction.
+//     — leaving the engine exactly as before the failed transaction, also
+//     when that transaction was the first.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -146,9 +149,9 @@ TEST(DlogDifferential, InterningAndArrangementsDoNotChangeDeltas) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential property: the bootstrap fast path — serial or parallel —
-// must be byte-identical to the classic incremental first commit, both in
-// the returned delta and in all subsequent transactions.
+// Differential property: a commit into an empty engine (from-empty mode:
+// full evaluation, bulk-built indexes, no undo log) must be byte-identical
+// to the delta-rule path, both in state and in all subsequent transactions.
 // ---------------------------------------------------------------------------
 
 /// Dump of every relation, stringified, for whole-state comparison.
@@ -163,35 +166,8 @@ std::string DumpAll(const Engine& engine) {
   return out;
 }
 
-TEST(DlogDifferential, BootstrapSerialParallelAndIncrementalAgree) {
+TEST(DlogDifferential, FromEmptyAndIncrementalLoadsAgree) {
   auto program = MustParse(kDifferentialProgram);
-  struct Config {
-    const char* name;
-    EngineOptions options;
-  };
-  std::vector<Config> configs;
-  {
-    Config classic{"classic-incremental", {}};
-    classic.options.enable_bootstrap = false;
-    configs.push_back(classic);
-    Config serial{"bootstrap-serial", {}};
-    serial.options.bootstrap_threads = 1;
-    configs.push_back(serial);
-    // The CI box may have one core, so the parallel path needs an explicit
-    // thread count and a low row threshold to actually engage.
-    Config parallel{"bootstrap-parallel", {}};
-    parallel.options.bootstrap_threads = 4;
-    parallel.options.parallel_bootstrap_min_rows = 1;
-    configs.push_back(parallel);
-  }
-
-  std::vector<std::unique_ptr<Engine>> engines;
-  for (const Config& config : configs) {
-    engines.push_back(std::make_unique<Engine>(program, config.options));
-  }
-
-  // Big-bang initial load: several hundred rows so the parallel fan-out
-  // has real shards to work with.
   std::mt19937_64 rng(20260808);
   std::vector<Op> initial;
   for (int k = 0; k < 600; ++k) {
@@ -208,26 +184,42 @@ TEST(DlogDifferential, BootstrapSerialParallelAndIncrementalAgree) {
     initial.push_back(std::move(op));
   }
 
-  std::vector<std::string> deltas;
-  for (auto& engine : engines) {
-    for (const Op& op : initial) {
-      ASSERT_TRUE(engine->Insert(op.relation, MaterializeRow(op)).ok());
+  // One engine loads all 600 rows as a single from-empty commit; the other
+  // commits the first row alone, so the other 599 take the delta rules.
+  const char* names[] = {"from-empty", "incremental"};
+  Engine from_empty(program);
+  Engine incremental(program);
+  std::vector<Engine*> engines = {&from_empty, &incremental};
+  for (const Op& op : initial) {
+    ASSERT_TRUE(from_empty.Insert(op.relation, MaterializeRow(op)).ok());
+  }
+  auto loaded = from_empty.Commit();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (size_t k = 0; k < initial.size(); ++k) {
+    const Op& op = initial[k];
+    ASSERT_TRUE(incremental.Insert(op.relation, MaterializeRow(op)).ok());
+    if (k == 0) {
+      ASSERT_TRUE(incremental.Commit().ok());
     }
-    auto delta = engine->Commit();
-    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-    deltas.push_back(delta->ToString());
   }
-  for (size_t e = 1; e < deltas.size(); ++e) {
-    ASSERT_EQ(deltas[0], deltas[e])
-        << configs[e].name << " bootstrap delta diverged";
+  ASSERT_TRUE(incremental.Commit().ok());
+  ASSERT_EQ(DumpAll(from_empty), DumpAll(incremental))
+      << "state diverged after the initial load";
+  // From empty, the delta inserts every output row.
+  std::map<std::string, std::string> expected;
+  for (const auto& decl : program->relations()) {
+    if (decl.role != RelationRole::kOutput) continue;
+    std::vector<Row> rows = *from_empty.Dump(decl.name);
+    for (const Row& row : rows) {
+      expected[decl.name] += "+ " + decl.name + RowToString(row) + "\n";
+    }
   }
-  for (size_t e = 1; e < engines.size(); ++e) {
-    ASSERT_EQ(DumpAll(*engines[0]), DumpAll(*engines[e]))
-        << configs[e].name << " state diverged after bootstrap";
-  }
+  std::string expected_delta;
+  for (const auto& [name, lines] : expected) expected_delta += lines;
+  EXPECT_EQ(loaded->ToString(), expected_delta);
 
-  // The bootstrapped engines must behave identically incrementally too:
-  // mixed inserts/deletes over rows that do and do not exist.
+  // Both must behave identically incrementally too: mixed inserts/deletes
+  // over rows that do and do not exist.
   for (int step = 0; step < 10; ++step) {
     std::vector<Op> ops;
     for (int k = 0; k < 5; ++k) {
@@ -243,8 +235,8 @@ TEST(DlogDifferential, BootstrapSerialParallelAndIncrementalAgree) {
       op.insert = rng() % 3 != 0;
       ops.push_back(std::move(op));
     }
-    deltas.clear();
-    for (auto& engine : engines) {
+    std::vector<std::string> deltas;
+    for (Engine* engine : engines) {
       for (const Op& op : ops) {
         Row row = MaterializeRow(op);
         Status status = op.insert ? engine->Insert(op.relation, std::move(row))
@@ -257,7 +249,7 @@ TEST(DlogDifferential, BootstrapSerialParallelAndIncrementalAgree) {
     }
     for (size_t e = 1; e < deltas.size(); ++e) {
       ASSERT_EQ(deltas[0], deltas[e])
-          << configs[e].name << " diverged at incremental step " << step;
+          << names[e] << " diverged at incremental step " << step;
     }
   }
 }
@@ -493,6 +485,38 @@ TEST(DlogRollback, FailedCommitRollsBackAllPartialEffects) {
     EXPECT_EQ(*engine.Dump(relation), *scratch.Dump(relation))
         << relation << " diverged from scratch recompute";
   }
+}
+
+TEST(DlogRollback, FailedFirstCommitWipesBackToEmpty) {
+  // The very first commit runs from empty, where rollback is a wipe rather
+  // than an undo-log replay.
+  auto program = MustParse(kDivProgram);
+  Engine engine(program);
+  ASSERT_TRUE(engine.Insert("X", R({I(0), I(5)})).ok());
+  ASSERT_TRUE(engine.Insert("X", R({I(2), I(0)})).ok());  // 100 / 0
+  ASSERT_TRUE(engine.Insert("X", R({I(3), I(10)})).ok());
+  ASSERT_FALSE(engine.Commit().ok());
+
+  for (const auto& decl : program->relations()) {
+    EXPECT_EQ(engine.Size(decl.name), 0u) << decl.name << " not wiped";
+  }
+  Engine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.tuples, 0u);
+  EXPECT_EQ(stats.arrangement_entries, 0u);
+
+  // The next good commit matches a fresh engine, delta and state alike.
+  Engine fresh(program);
+  std::string deltas[2];
+  Engine* engines[] = {&engine, &fresh};
+  for (int e = 0; e < 2; ++e) {
+    ASSERT_TRUE(engines[e]->Insert("X", R({I(3), I(10)})).ok());
+    ASSERT_TRUE(engines[e]->Insert("X", R({I(3), I(20)})).ok());
+    auto delta = engines[e]->Commit();
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    deltas[e] = delta->ToString();
+  }
+  EXPECT_EQ(deltas[0], deltas[1]);
+  EXPECT_EQ(DumpAll(engine), DumpAll(fresh));
 }
 
 TEST(DlogRollback, AggregationStateIsRestoredExactly) {

@@ -228,6 +228,50 @@ TEST(DlogEdge, DuplicateInsertAndDeleteOfAbsentAreIdempotent) {
   EXPECT_TRUE(delta->empty());
 }
 
+TEST(DlogEdge, LastOpPerRowWinsInSmallAndLargeBatches) {
+  // Batches above and below the linear-scan netting threshold, into an
+  // empty engine and a loaded one, must net the same way.
+  auto program = MustParse(R"(
+    input relation P(x: bigint)
+    output relation O(x: bigint)
+    O(x) :- P(x).
+  )");
+  for (int filler : {0, 200}) {
+    for (bool loaded : {false, true}) {
+      Engine engine(program);
+      if (loaded) {
+        ASSERT_TRUE(engine.Insert("P", R({I(-1)})).ok());
+        ASSERT_TRUE(engine.Insert("P", R({I(-2)})).ok());
+        ASSERT_TRUE(engine.Commit().ok());
+      }
+      for (int k = 0; k < filler; ++k) {
+        ASSERT_TRUE(engine.Insert("P", R({I(1000 + k)})).ok());
+      }
+      ASSERT_TRUE(engine.Insert("P", R({I(1)})).ok());  // then deleted
+      ASSERT_TRUE(engine.Delete("P", R({I(1)})).ok());
+      ASSERT_TRUE(engine.Delete("P", R({I(2)})).ok());  // then re-inserted
+      ASSERT_TRUE(engine.Insert("P", R({I(2)})).ok());
+      ASSERT_TRUE(engine.Insert("P", R({I(3)})).ok());  // twice
+      ASSERT_TRUE(engine.Insert("P", R({I(3)})).ok());
+      ASSERT_TRUE(engine.Delete("P", R({I(-1)})).ok());  // present if loaded
+      ASSERT_TRUE(engine.Insert("P", R({I(-2)})).ok());  // ditto
+      auto delta = engine.Commit();
+      ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+      SetDelta expected;
+      if (loaded) expected.emplace_back(R({I(-1)}), -1);
+      if (!loaded) expected.emplace_back(R({I(-2)}), +1);
+      expected.emplace_back(R({I(2)}), +1);
+      expected.emplace_back(R({I(3)}), +1);
+      for (int k = 0; k < filler; ++k) {
+        expected.emplace_back(R({I(1000 + k)}), +1);
+      }
+      EXPECT_EQ(delta->outputs["O"], expected)
+          << "filler " << filler << ", loaded " << loaded;
+      EXPECT_EQ(engine.Size("P"), static_cast<size_t>(filler) + 3);
+    }
+  }
+}
+
 TEST(DlogEdge, AblationEngineMatchesDefault) {
   // The scan-join engine must compute identical results.
   auto program = MustParse(R"(
